@@ -1,15 +1,17 @@
-"""ABL-3: ablation — Moore vs Hopcroft minimization.
+"""ABL-3: ablation — Moore vs the dense kernel's Hopcroft minimization.
 
 The convolution engine minimizes after every operation; minimization is
-its hot spot.  Moore's refinement is O(n^2 |Sigma|) but trivially
-auditable; Hopcroft's is O(n |Sigma| log n).  This bench measures both on
-growing machines and asserts they produce identical minimal automata.
+its hot spot.  Moore's refinement (``DFA.minimize``) is O(n^2 |Sigma|)
+but trivially auditable; the kernel's flat-bucket Hopcroft
+(``kernel.minimize_dfa``) is O(n |Sigma| log n).  This bench measures
+both on growing machines and asserts they produce identical minimal
+automata.
 """
 
 import pytest
 
 from repro.automata import DFA, compile_regex, dfa_from_finite_language, equivalent
-from repro.automata.hopcroft import hopcroft_minimize
+from repro.automata.kernel import minimize_dfa
 from repro.strings import BINARY
 
 from _common import measure, print_table
@@ -37,9 +39,9 @@ def test_abl_moore(benchmark, n):
 
 
 @pytest.mark.parametrize("n", SIZES)
-def test_abl_hopcroft(benchmark, n):
+def test_abl_kernel(benchmark, n):
     dfa = _bloated_machine(n)
-    benchmark(lambda: hopcroft_minimize(dfa))
+    benchmark(lambda: minimize_dfa(dfa))
 
 
 def test_abl_minimize_comparison(benchmark):
@@ -48,17 +50,17 @@ def test_abl_minimize_comparison(benchmark):
         for n in SIZES:
             dfa = _bloated_machine(n)
             moore = dfa.minimize()
-            hop = hopcroft_minimize(dfa)
-            assert equivalent(moore, hop)
-            assert moore.num_states == hop.num_states
+            kern = minimize_dfa(dfa)
+            assert equivalent(moore, kern)
+            assert moore.num_states == kern.num_states
             t_moore = measure(lambda: dfa.minimize(), repeats=1)
-            t_hop = measure(lambda: hopcroft_minimize(dfa), repeats=1)
-            rows.append((n, dfa.num_states, moore.num_states, t_moore, t_hop))
+            t_kern = measure(lambda: minimize_dfa(dfa), repeats=1)
+            rows.append((n, dfa.num_states, moore.num_states, t_moore, t_kern))
         return rows
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
     print_table(
         "Ablation: DFA minimization algorithms",
-        ["words", "input states", "minimal states", "Moore s", "Hopcroft s"],
-        [(a, b, c, f"{m:.4f}", f"{h:.4f}") for a, b, c, m, h in rows],
+        ["words", "input states", "minimal states", "Moore s", "kernel s"],
+        [(a, b, c, f"{m:.4f}", f"{k:.4f}") for a, b, c, m, k in rows],
     )

@@ -29,7 +29,8 @@ backend's job (``codegen-result`` whole-result cache keyed by database
 fingerprint, promoted along delta chains).
 
 This is the only module in the repository allowed to call
-``compile``/``exec`` (enforced by ``tools/lint_codegen.py``).
+``compile``/``exec`` (enforced by the ``codegen`` rule of
+``tools/lint_confinement.py``).
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from repro.algebra.plan import (
     _get_checker,
 )
 from repro.database.schema import Schema
-from repro.engine.cache import AutomatonCache, DEFAULT_MAXSIZE
+from repro.engine.cache import AutomatonCache, DEFAULT_MAXSIZE, named_cache
 from repro.engine.deadline import checkpoint
 from repro.engine.metrics import METRICS
 from repro.logic.canonical import canonical_fingerprint, canonicalize
@@ -604,9 +605,8 @@ def build_pipeline(
     )
 
 
-#: Compiled-closure cache.  Same LRU discipline as the automaton cache
-#: (bounded, hits/misses/evictions), surfaced in QueryService.stats().
-_CLOSURES = AutomatonCache(maxsize=DEFAULT_MAXSIZE, metrics_prefix="codegen.cache")
+#: Compiled-closure cache, surfaced in QueryService.stats().
+_CLOSURES = named_cache("codegen.cache", DEFAULT_MAXSIZE)
 
 
 def closure_cache() -> AutomatonCache:

@@ -43,7 +43,7 @@ from repro.algebra.plan import (
     _get_checker,
 )
 from repro.database.instance import Database
-from repro.engine.cache import database_fingerprint
+from repro.engine.cache import database_fingerprint, named_cache
 from repro.engine.deadline import checkpoint
 from repro.engine.metrics import METRICS
 from repro.logic.formulas import Formula
@@ -289,8 +289,7 @@ class AlgebraExecutor:
 # A small cache of compiled-and-optimized plans: compiling is pure in the
 # formula/structure/schema/slack, so repeated queries (the service layer's
 # common case) skip the compiler and rewrite fixpoint entirely.
-_PLAN_CACHE: dict[tuple, tuple[CompiledQuery, Plan]] = {}
-_PLAN_CACHE_CAP = 128
+_PLAN_CACHE = named_cache("algebra.plan_cache", 128)
 
 
 def compile_for_execution(
@@ -335,9 +334,7 @@ def compile_for_execution(
 
         pair = translate_ranf(formula, structure, schema, slack=slack)
         compiled, optimized = pair.compiled, pair.fin_optimized
-    if len(_PLAN_CACHE) >= _PLAN_CACHE_CAP:
-        _PLAN_CACHE.pop(next(iter(_PLAN_CACHE)))
-    _PLAN_CACHE[key] = (compiled, optimized)
+    _PLAN_CACHE.put(key, (compiled, optimized))
     return (compiled, optimized)
 
 

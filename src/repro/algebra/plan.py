@@ -38,9 +38,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.database.instance import Database
+from repro.engine.cache import named_cache
 from repro.engine.deadline import checkpoint
 from repro.engine.metrics import METRICS
 from repro.errors import ArityError, EvaluationError
+from repro.logic.canonical import canonical_fingerprint
 from repro.logic.formulas import Formula, QuantKind, RelAtom
 from repro.logic.terms import Var
 from repro.logic.transform import has_natural_quantifier
@@ -198,18 +200,21 @@ def _eval_quantifier_free(
 #: Checker cache: conditions are database-free, so a checker depends only
 #: on the condition and the structure; compiling quantified conditions to
 #: automata is expensive enough to be worth sharing across evaluations.
-_CHECKER_CACHE: dict[tuple, "_ConditionChecker"] = {}
+_CHECKER_CACHE = named_cache("algebra.checker_cache", 1024)
 
 
 def _get_checker(
     condition: Formula, structure: StringStructure, slack: int = 0
 ) -> "_ConditionChecker":
-    key = (str(condition), structure.name, structure.alphabet.symbols, slack)
-    checker = _CHECKER_CACHE.get(key)
-    if checker is None:
-        checker = _ConditionChecker(condition, structure, slack=slack)
-        _CHECKER_CACHE[key] = checker
-    return checker
+    key = (
+        canonical_fingerprint(condition),
+        structure.name,
+        structure.alphabet.symbols,
+        slack,
+    )
+    return _CHECKER_CACHE.get_or_build(
+        key, lambda: _ConditionChecker(condition, structure, slack=slack)
+    )
 
 
 @dataclass(frozen=True)

@@ -84,6 +84,7 @@ from repro.algebra.plan import (
     Union,
     col,
 )
+from repro.engine.cache import named_cache
 from repro.engine.metrics import METRICS
 from repro.errors import SignatureError
 from repro.logic.canonical import canonical_fingerprint
@@ -118,8 +119,7 @@ class RanfVerdict:
     rq_depth: int
 
 
-_VERDICTS: dict[tuple, RanfVerdict] = {}
-_VERDICTS_CAP = 512
+_VERDICTS = named_cache("algebra.ranf.verdict_cache", 512)
 
 
 def _restricted_depth(f: Formula) -> int:
@@ -230,9 +230,7 @@ def translation_verdict(formula: Formula, structure) -> RanfVerdict:
     METRICS.inc("planner.ranf.verdicts")
     if not verdict.ok:
         METRICS.inc("planner.ranf.bailouts")
-    if len(_VERDICTS) >= _VERDICTS_CAP:
-        _VERDICTS.pop(next(iter(_VERDICTS)))
-    _VERDICTS[key] = verdict
+    _VERDICTS.put(key, verdict)
     return verdict
 
 
@@ -367,14 +365,14 @@ class RanfPair:
         return self.compiled.columns
 
 
-_TRANSLATIONS: dict[tuple, RanfPair] = {}
-_TRANSLATIONS_CAP = 64
+_TRANSLATIONS = named_cache("algebra.ranf.translation_cache", 64)
 
 
 def has_translation(formula, structure, schema, slack: int) -> bool:
     """True when the pair for this key is already cached (the planner's
     amortized cost model checks this without forcing a translation)."""
-    return _translation_key(formula, structure, schema, slack) in _TRANSLATIONS
+    key = _translation_key(formula, structure, schema, slack)
+    return _TRANSLATIONS.peek(key) is not None
 
 
 def _translation_key(formula, structure, schema, slack: int) -> tuple:
@@ -442,9 +440,7 @@ def translate_ranf(formula: Formula, structure, schema, slack: int = 1) -> RanfP
             optimize_for_execution(inf_plan) if inf_plan is not None else None
         ),
     )
-    if len(_TRANSLATIONS) >= _TRANSLATIONS_CAP:
-        _TRANSLATIONS.pop(next(iter(_TRANSLATIONS)))
-    _TRANSLATIONS[key] = pair
+    _TRANSLATIONS.put(key, pair)
     return pair
 
 

@@ -39,8 +39,6 @@ against a from-scratch evaluation of the final state.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -66,7 +64,7 @@ from repro.algebra.plan import (
 )
 from repro.database.instance import Database
 from repro.delta.store import MAX_CHAIN, Delta
-from repro.engine.cache import AutomatonCache, database_fingerprint
+from repro.engine.cache import AutomatonCache, database_fingerprint, named_cache
 from repro.engine.deadline import checkpoint
 from repro.engine.metrics import METRICS
 from repro.logic.formulas import Formula, QuantKind
@@ -108,53 +106,42 @@ class Transition:
 # ------------------------------------------------------------- the registry
 
 
-_LOCK = threading.RLock()
-#: child fingerprint -> the transition that produced it (LRU-bounded).
-_TRANSITIONS: OrderedDict[str, Transition] = OrderedDict()
-_TRANSITIONS_CAP = 256
+#: child fingerprint -> the transition that produced it.
+_TRANSITIONS = named_cache("delta.transition_cache", 256)
 #: Fingerprints of versions managed by some VersionedDatabase — the
 #: algebra backend only pays for subplan recording on tracked databases.
-_TRACKED: OrderedDict[str, None] = OrderedDict()
-_TRACKED_CAP = 1024
+#: Values are ``True``: the cache reads ``None`` as a miss.
+_TRACKED = named_cache("delta.tracked_cache", 1024)
 
 
 def record_transition(transition: Transition) -> None:
     """Register an applied delta (called by the delta store)."""
-    with _LOCK:
-        _TRANSITIONS[transition.child_fingerprint] = transition
-        while len(_TRANSITIONS) > _TRANSITIONS_CAP:
-            _TRANSITIONS.popitem(last=False)
+    _TRANSITIONS.put(transition.child_fingerprint, transition)
     track_version(transition.parent_fingerprint)
     track_version(transition.child_fingerprint)
 
 
 def transition_for(fingerprint: str) -> Optional[Transition]:
-    """The transition that produced version ``fingerprint``, if recorded."""
-    with _LOCK:
-        return _TRANSITIONS.get(fingerprint)
+    """The transition that produced version ``fingerprint``, if recorded.
+
+    A probe (chain walks step through every ancestor), so it counts no
+    hit or miss in ``delta.transition_cache``."""
+    return _TRANSITIONS.peek(fingerprint)
 
 
 def track_version(fingerprint: str) -> None:
     """Mark ``fingerprint`` as a delta-store version (enables recording)."""
-    with _LOCK:
-        _TRACKED[fingerprint] = None
-        _TRACKED.move_to_end(fingerprint)
-        while len(_TRACKED) > _TRACKED_CAP:
-            _TRACKED.popitem(last=False)
+    _TRACKED.put(fingerprint, True)
 
 
 def is_tracked(fingerprint: str) -> bool:
-    with _LOCK:
-        return fingerprint in _TRACKED
+    return _TRACKED.get(fingerprint) is not None
 
 
 def reset() -> None:
     """Drop all transitions, tracking, and recorded subplan rows (tests)."""
-    with _LOCK:
-        _TRANSITIONS.clear()
-        _TRACKED.clear()
-        _STORE.clear()
-        _NAMES.clear()
+    for cache in (_TRANSITIONS, _TRACKED, _STORE, _NAMES):
+        cache.clear()
 
 
 # -------------------------------------------------------- result promotion
@@ -176,9 +163,8 @@ def promote_result(
     from ``adom(D)`` — no walked delta changed the active domain.
     Returns the promoted value (also stored under ``key``) or ``None``.
     """
-    with _LOCK:
-        if not _TRANSITIONS:
-            return None
+    if not _TRANSITIONS:
+        return None
     fingerprint = key[4]
     if fingerprint is None:
         return None
@@ -207,44 +193,12 @@ def promote_result(
 # ------------------------------------------------------- subplan recording
 
 
-class _RowStore:
-    """A small thread-safe LRU of per-operator output rows.
-
-    Keys are ``((structure name, alphabet), plan node, fingerprint)`` —
-    plan nodes are frozen dataclasses, hashable by structure.  Kept
-    separate from the automaton cache so recorded intermediates never
-    evict compiled automata and never distort the cache hit-rate stats.
-    """
-
-    def __init__(self, maxsize: int = 4096):
-        self.maxsize = maxsize
-        self._data: OrderedDict[tuple, Rows] = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key: tuple) -> Optional[Rows]:
-        with self._lock:
-            rows = self._data.get(key)
-            if rows is not None:
-                self._data.move_to_end(key)
-            return rows
-
-    def put(self, key: tuple, rows: Rows) -> None:
-        with self._lock:
-            self._data[key] = rows
-            self._data.move_to_end(key)
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
-
-
-_STORE = _RowStore()
+#: Per-operator output rows, keyed ``((structure name, alphabet), plan
+#: node, fingerprint)`` — plan nodes are frozen dataclasses, hashable by
+#: structure.  Kept apart from the automaton cache so recorded
+#: intermediates never evict compiled automata and never distort its
+#: hit-rate stats.
+_STORE = named_cache("delta.row_cache", 4096)
 
 
 def _structure_key(structure: StringStructure) -> tuple:
@@ -268,9 +222,8 @@ def subplan_recorder(
     """A recorder for :class:`~repro.algebra.exec.AlgebraExecutor`, or
     ``None`` when ``database`` is not a delta-store version (recording
     would be pure overhead for never-mutated databases)."""
-    with _LOCK:
-        if not _TRACKED:
-            return None
+    if not _TRACKED:
+        return None
     fingerprint = database_fingerprint(database)
     if not is_tracked(fingerprint):
         return None
@@ -280,20 +233,15 @@ def subplan_recorder(
 # ----------------------------------------------------- ΔQ plan maintenance
 
 
-#: Per-node base-relation names (bounded memo; plans are shared DAGs).
-_NAMES: dict[Plan, frozenset] = {}
+#: Per-node base-relation names (plans are shared DAGs).
+_NAMES = named_cache("delta.names_cache", 4096)
 
 
 def _base_names(node: Plan) -> frozenset:
-    names = _NAMES.get(node)
-    if names is None:
-        names = frozenset(
-            n.name for n in node.walk() if isinstance(n, BaseRel)
-        )
-        if len(_NAMES) > 4096:
-            _NAMES.clear()
-        _NAMES[node] = names
-    return names
+    return _NAMES.get_or_build(
+        node,
+        lambda: frozenset(n.name for n in node.walk() if isinstance(n, BaseRel)),
+    )
 
 
 class _Bail(Exception):
@@ -315,9 +263,8 @@ def maintain_algebra_result(
     (no recorded ancestor, a schema-changing delta in the chain, or an
     operator the rules do not cover).
     """
-    with _LOCK:
-        if not _TRANSITIONS:
-            return None
+    if not _TRANSITIONS:
+        return None
     fingerprint = database_fingerprint(database)
     if transition_for(fingerprint) is None:
         return None
@@ -339,7 +286,7 @@ def maintain_algebra_result(
             return None
         chain.append(transition)
         cursor = transition.parent_fingerprint
-        if _STORE.get((skey, optimized, cursor)) is not None:
+        if _STORE.peek((skey, optimized, cursor)) is not None:
             break
     else:
         METRICS.inc("delta.algebra_fallbacks")

@@ -39,6 +39,14 @@ Usage::
     cache.clear()       # drop entries, keep counters
     cache.resize(1024)  # tune capacity
 
+The same class backs the engine's shared memo tables — compiled plans,
+RANF verdicts and translations, condition checkers, delta-maintenance
+registries, codegen closures: each is a :func:`named_cache` instance
+with a fixed bound, registered here under its METRICS prefix so
+:func:`cache_stats` reports them all in one place.  (A few small
+``functools.lru_cache`` memos remain outside it, e.g. the compiled
+``matches()`` patterns in :mod:`repro.structures.base`.)
+
 Depends only on the stdlib and :mod:`repro.logic.canonical` on purpose:
 importable from any engine layer without cycles.
 """
@@ -58,11 +66,13 @@ DEFAULT_MAXSIZE = 256
 
 
 class AutomatonCache:
-    """An LRU map from structural keys to compiled automata.
+    """An LRU map from structural keys to compiled automata (or any
+    other memoized value — see :func:`named_cache`).
 
     Values are opaque to the cache (the engines store
     ``(RelationAutomaton, variables)`` pairs and whole query results);
-    they must be immutable, since hits hand back the stored object.
+    they must be immutable, since hits hand back the stored object, and
+    never ``None``, which :meth:`get` reports as a miss.
     """
 
     __slots__ = (
@@ -293,7 +303,24 @@ def formula_key(
     )
 
 
-_GLOBAL = AutomatonCache()
+#: Every process-wide memo table, by METRICS prefix (see :func:`named_cache`).
+_REGISTRY: dict[str, AutomatonCache] = {}
+
+
+def named_cache(prefix: str, maxsize: int) -> AutomatonCache:
+    """A process-wide memo table counted under ``<prefix>.*`` in METRICS
+    and listed by :func:`cache_stats` under ``prefix``."""
+    cache = AutomatonCache(maxsize, metrics_prefix=prefix)
+    _REGISTRY[prefix] = cache
+    return cache
+
+
+def cache_stats() -> dict[str, dict[str, int]]:
+    """``{prefix: stats}`` for every registered memo table."""
+    return {name: cache.stats() for name, cache in sorted(_REGISTRY.items())}
+
+
+_GLOBAL = named_cache("cache", DEFAULT_MAXSIZE)
 
 
 def global_cache() -> AutomatonCache:

@@ -74,7 +74,12 @@ from repro.core.query import Query, StringDatabase
 from repro.database.instance import Database
 from repro.delta import DatabaseVersion, VersionedDatabase
 from repro.engine.backend import resolve_engine
-from repro.engine.cache import AutomatonCache, database_fingerprint, global_cache
+from repro.engine.cache import (
+    AutomatonCache,
+    cache_stats,
+    database_fingerprint,
+    global_cache,
+)
 from repro.engine.deadline import Deadline, deadline_scope
 from repro.engine.explain import execute_plan
 from repro.engine.metrics import METRICS
@@ -104,6 +109,10 @@ __all__ = [
     "ServiceResponse",
     "classify_error",
 ]
+
+#: Bound of each per-service prepared-handle table (by canonical
+#: fingerprint and by exact text).
+_PREPARED_CAP = 256
 
 
 # ------------------------------------------------------------------- results
@@ -385,13 +394,6 @@ class PreparedQuery:
         return plan
 
 
-def _codegen_closure_stats() -> dict:
-    """Counters of the compiled-closure LRU, for ``stats()`` endpoints."""
-    from repro.algebra.codegen import closure_cache
-
-    return closure_cache().stats()
-
-
 # ---------------------------------------------------------------- the pool
 
 
@@ -562,9 +564,15 @@ class QueryService:
             )
         self._databases: dict[str, _NamedDatabase] = {}
         # Interned per (canonical fingerprint, structure); the text-keyed
-        # alias map short-circuits re-parsing on repeated exact text.
-        self._prepared: dict[tuple[str, str], PreparedQuery] = {}
-        self._prepared_text: dict[tuple[str, str], PreparedQuery] = {}
+        # alias map short-circuits re-parsing on repeated exact text.  An
+        # evicted handle keeps working for its holders; the next prepare
+        # of that text simply builds a fresh one.
+        self._prepared = AutomatonCache(
+            _PREPARED_CAP, metrics_prefix="service.prepared_cache"
+        )
+        self._prepared_text = AutomatonCache(
+            _PREPARED_CAP, metrics_prefix="service.prepared_text_cache"
+        )
         self._registry_lock = threading.Lock()
         # Serializes delta application (insert/delete) across names so a
         # wrap-then-apply never races a concurrent re-registration.
@@ -718,15 +726,14 @@ class QueryService:
         A text-keyed alias map keeps the repeated-exact-text fast path
         free of re-parsing."""
         alias = (query, structure)
-        with self._registry_lock:
-            handle = self._prepared_text.get(alias)
+        handle = self._prepared_text.get(alias)
         if handle is not None:
             return handle
         handle = PreparedQuery(query, structure)
         key = (handle.fingerprint, structure)
         with self._registry_lock:
-            interned = self._prepared.setdefault(key, handle)
-            self._prepared_text[alias] = interned
+            interned = self._prepared.get_or_build(key, lambda: handle)
+            self._prepared_text.put(alias, interned)
         if interned is handle:
             METRICS.inc("service.prepared_queries")
         return interned
@@ -887,6 +894,15 @@ class QueryService:
 
     def stats(self) -> dict:
         """Service-level gauges plus the shared cache's counters."""
+        # Load the lazily imported engine layers so every named cache is
+        # registered before the registry is read.
+        import repro.algebra.codegen  # noqa: F401
+        import repro.algebra.ranf  # noqa: F401
+
+        caches = cache_stats()
+        caches["cache"] = self._cache.stats()
+        caches["service.prepared_cache"] = self._prepared.stats()
+        caches["service.prepared_text_cache"] = self._prepared_text.stats()
         snapshot = METRICS.snapshot()
         service_counters = {
             name: value
@@ -915,8 +931,9 @@ class QueryService:
             "closed": self._closed,
             "databases": self.database_names(),
             "versions": versions,
-            "cache": self._cache.stats(),
-            "codegen_cache": _codegen_closure_stats(),
+            "cache": caches["cache"],
+            "codegen_cache": caches["codegen.cache"],
+            "caches": caches,
             "counters": service_counters,
         }
         if self._coordinator is not None:
