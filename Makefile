@@ -26,7 +26,8 @@ test: lint-confinement bench-algebra-smoke bench-kernel-smoke \
 ## engine-name literal dispatch outside engine/, dict DFA(...) in the
 ## kernel-converted modules, sockets/pipes/subprocesses or asyncio
 ## transport outside shard/ + service/, Database._relations/._adom
-## outside the delta store, exec/eval/compile outside algebra/codegen.py
+## outside the delta store, exec/eval/compile outside algebra/codegen.py,
+## RelationAutomaton.from_tuples outside the automaton layer
 ## (one table of rules in tools/lint_confinement.py).
 lint-confinement:
 	$(PY) tools/lint_confinement.py

@@ -147,6 +147,8 @@ class RelationAutomaton:
 
         For infinite relations a ``limit`` must be supplied.
         """
+        if limit is not None and limit <= 0:
+            return
         if limit is None:
             words = self.dfa.iter_words()
         else:

@@ -277,7 +277,7 @@ def _fmt_cost(cost: float) -> str:
 
 class DirectBackend(EngineBackend):
     """Tuple-at-a-time enumeration over the restricted quantifier domains
-    (:mod:`repro.eval.direct`); caches whole result relations."""
+    (:mod:`repro.eval.direct`); caches whole results as rows."""
 
     name = "direct"
     priority = 0
@@ -316,7 +316,6 @@ class DirectBackend(EngineBackend):
     def execute(self, plan, database, cache, observer=None):
         from repro.delta.maintenance import promote_result
         from repro.eval.direct import DirectEngine
-        from repro.eval.result import QueryResult
 
         key = formula_key(
             plan.formula,
@@ -333,11 +332,11 @@ class DirectBackend(EngineBackend):
             # adom mean the old result is still exact.
             cached = promote_result(cache, key, plan.formula)
         if cached is not None:
-            return QueryResult(*cached)
+            return cached
         result = DirectEngine(
             plan.structure, database, slack=plan.slack
         ).run(plan.formula)
-        cache.put(key, (result.variables, result.relation))
+        cache.put(key, result)
         return result
 
 
@@ -478,7 +477,6 @@ class AlgebraBackend(EngineBackend):
 
     def execute(self, plan, database, cache, observer=None):
         from repro.algebra.exec import run_algebra
-        from repro.automatic.relation import RelationAutomaton
         from repro.engine.explain import AlgebraTrace
         from repro.eval.result import QueryResult
 
@@ -494,7 +492,7 @@ class AlgebraBackend(EngineBackend):
         if cached is not None:
             if isinstance(observer, AlgebraTrace):
                 observer.cached = True
-            return QueryResult(*cached)
+            return cached
         # Delta-store versions: maintain the previous version's recorded
         # subplan rows through the ΔQ rules instead of recomputing; full
         # runs on tracked versions record their subplans for next time.
@@ -532,7 +530,7 @@ class AlgebraBackend(EngineBackend):
                     result = AutomataEngine(
                         plan.structure, database, slack=plan.slack, cache=cache
                     ).run(plan.formula)
-                    cache.put(key, (result.variables, result.relation))
+                    cache.put(key, result)
                     return result
                 columns, rows = run.columns, run.rows
                 if isinstance(observer, AlgebraTrace):
@@ -547,11 +545,8 @@ class AlgebraBackend(EngineBackend):
                 )
                 if isinstance(observer, AlgebraTrace):
                     observer.stats = stats
-        relation = RelationAutomaton.from_tuples(
-            plan.structure.alphabet, len(columns), rows
-        )
-        result = QueryResult(columns, relation)
-        cache.put(key, (result.variables, result.relation))
+        result = QueryResult.from_rows(columns, plan.structure.alphabet, rows)
+        cache.put(key, result)
         return result
 
     def trace_observer(self):
@@ -686,7 +681,6 @@ class CodegenBackend(EngineBackend):
     def execute(self, plan, database, cache, observer=None):
         from repro.algebra.codegen import get_pipeline
         from repro.algebra.exec import run_algebra
-        from repro.automatic.relation import RelationAutomaton
         from repro.delta.maintenance import promote_result
         from repro.engine.explain import CodegenTrace
         from repro.engine.metrics import METRICS
@@ -711,7 +705,7 @@ class CodegenBackend(EngineBackend):
         if cached is not None:
             if isinstance(observer, CodegenTrace):
                 observer.cached = True
-            return QueryResult(*cached)
+            return cached
         pipeline, detail = get_pipeline(
             plan.formula, plan.structure, database.schema, plan.slack
         )
@@ -733,11 +727,8 @@ class CodegenBackend(EngineBackend):
                 observer.pipeline = pipeline
                 observer.stage_rows = stage_rows
                 observer.closure_hit = detail == "hit"
-        relation = RelationAutomaton.from_tuples(
-            plan.structure.alphabet, len(columns), rows
-        )
-        result = QueryResult(columns, relation)
-        cache.put(key, (result.variables, result.relation))
+        result = QueryResult.from_rows(columns, plan.structure.alphabet, rows)
+        cache.put(key, result)
         return result
 
     def trace_observer(self):

@@ -27,9 +27,13 @@ recompilation stampede.  This module closes that gap:
 * values ride as pickles of the cache's own immutable entries — for the
   automata stage that is ``(RelationAutomaton, variables)`` including
   any memoized dense form, so the flat ``array('i')`` transition tables
-  of compiled dense DFAs persist alongside the dict automata.  Values
-  that do not pickle (e.g. anything holding a live closure) are simply
-  skipped at spill time.
+  of compiled dense DFAs persist alongside the dict automata.  The
+  whole-result stages (``direct-result``, ``algebra-result``,
+  ``codegen-result``, ``sharded-result``) hold
+  :class:`~repro.eval.result.QueryResult` objects, which pickle a
+  finite answer as its rows, never as an automaton.  Values that do not
+  pickle (e.g. anything holding a live closure) are simply skipped at
+  spill time.
 
 Writes are atomic (temp file + ``os.replace``) so concurrent services
 sharing a warm directory can only ever observe whole files.  The store
@@ -66,8 +70,10 @@ from repro.engine.metrics import METRICS
 __all__ = ["WARM_FORMAT_VERSION", "WarmStartStore", "key_digest"]
 
 #: Bump on any incompatible change to the file layout *or* to the pickled
-#: value classes; readers skip files from other versions.
-WARM_FORMAT_VERSION = 1
+#: value classes; readers skip files from other versions.  Version 2:
+#: whole-result entries are row-holding ``QueryResult`` objects instead
+#: of ``(variables, RelationAutomaton)`` pairs.
+WARM_FORMAT_VERSION = 2
 
 #: First bytes of every warm file, before the JSON header line.
 _MAGIC = b"repro-warm\n"

@@ -36,11 +36,12 @@ into a serving tier on top of the PR 1 engine core:
   queued work is skipped, in-flight work is aborted at the engines' next
   deadline checkpoint, and the worker slot is always reclaimed;
 * **warm-start persistence** — ``warm_dir=`` spills the automaton cache
-  (compiled :class:`~repro.automata.relation.RelationAutomaton` values
-  including their memoized dense-DFA kernels) to disk on close and
-  reloads entries lazily on demand after a restart, keyed by canonical
-  fingerprint (:mod:`repro.engine.warmstart`) — restarts answer
-  previously-compiled queries without recompiling;
+  (compiled :class:`~repro.automatic.relation.RelationAutomaton` values
+  including their memoized dense-DFA kernels; whole-result entries are
+  spilled as rows) to disk on close and reloads entries lazily on
+  demand after a restart, keyed by canonical fingerprint
+  (:mod:`repro.engine.warmstart`) — restarts answer previously-compiled
+  queries without recompiling;
 * optional **sharding** — ``shards=N`` spawns a pool of shard worker
   *processes* (:mod:`repro.shard`); every registered database is
   partitioned onto it and queries whose plans distribute scatter-gather

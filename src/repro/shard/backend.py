@@ -216,7 +216,6 @@ class ShardedBackend(EngineBackend):
     # ------------------------------------------------------------ execution
 
     def execute(self, plan, database, cache, observer=None):
-        from repro.automatic.relation import RelationAutomaton
         from repro.eval.result import QueryResult
 
         route = route_for(database)
@@ -248,15 +247,14 @@ class ShardedBackend(EngineBackend):
         if cached is not None:
             if isinstance(observer, ShardTrace):
                 observer.cached = True
-            return QueryResult(*cached)
+            return cached
         gather = coordinator.execute(sharded, plan)
         if isinstance(observer, ShardTrace):
             observer.gather = gather
-        relation = RelationAutomaton.from_tuples(
-            plan.structure.alphabet, len(gather.columns), sorted(gather.rows)
+        result = QueryResult.from_rows(
+            gather.columns, plan.structure.alphabet, gather.rows
         )
-        result = QueryResult(gather.columns, relation)
-        cache.put(key, (result.variables, result.relation))
+        cache.put(key, result)
         return result
 
     # -------------------------------------------------------------- explain

@@ -27,6 +27,10 @@ VIOLATIONS = {
     "delta": ("benchmarks/planted.py", "rows = db._relations"),
     "codegen": ("src/repro/eval/planted.py", "value = eval(text)"),
     "service": ("src/repro/engine/planted.py", "asyncio.start_server(handle)"),
+    "results": (
+        "src/repro/engine/planted.py",
+        "relation = RelationAutomaton.from_tuples(alphabet, 1, rows)",
+    ),
 }
 
 
@@ -72,7 +76,9 @@ def test_rule_fails_on_planted_violation(name, tmp_path, capsys):
     assert [other for other in VIOLATIONS if f"rule {other!r}" in err] == [name]
 
 
-@pytest.mark.parametrize("name", ["shard", "service", "codegen", "dispatch", "delta"])
+@pytest.mark.parametrize(
+    "name", ["shard", "service", "codegen", "dispatch", "delta", "results"]
+)
 def test_allowed_paths_are_exempt(name, tmp_path):
     root = _clean_tree(tmp_path)
     rule = next(r for r in lint.RULES if r.name == name)

@@ -166,7 +166,8 @@ def _anchor(formula: Formula) -> Formula:
 
 
 class TestThreeEngineAgreement:
-    """direct == automata == algebra == codegen on the algebra regime.
+    """direct == automata == algebra == codegen on the algebra regime:
+    the same answer set, the same count, and equivalent automata.
 
     The codegen backend shares the algebra engine's eligibility rule and
     must agree tuple-for-tuple whether a query runs through a generated
@@ -185,6 +186,12 @@ class TestThreeEngineAgreement:
         assert len(set(map(frozenset, rows.values()))) == 1, (
             str(query.formula), rows,
         )
+        # Row results answer count() from their rows and build .relation
+        # only on demand; both must match the exact automaton.
+        reference = results["automata"]
+        for engine, result in results.items():
+            assert result.count() == reference.count(), engine
+            assert result.relation.equivalent(reference.relation), engine
 
     @settings(max_examples=30, deadline=None)
     @given(formula=adom_formulas(VARS, depth=2), db=databases)

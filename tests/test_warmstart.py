@@ -180,6 +180,45 @@ class TestStoreFormat:
         assert store.load(key) is None
         assert store.stats()["load_rejected"] == 1
 
+    def test_version_1_result_entry_is_a_counted_miss(self, tmp_path):
+        # Format 1 spilled whole-result entries as (variables, automaton)
+        # pairs.  Rewrite this process's row-form result entries the old
+        # way: a restart must count each as a rejected load and answer
+        # from a fresh run, never hand back the stale value.
+        import hashlib
+        import json
+
+        from repro.eval.result import QueryResult
+
+        first, _ = run_once(tmp_path, engine="direct")
+        assert first.ok
+        rewritten = 0
+        for name in os.listdir(tmp_path):
+            path = tmp_path / name
+            raw = path.read_bytes()
+            header, payload = raw[len(b"repro-warm\n"):].split(b"\n", 1)
+            value = pickle.loads(payload)
+            if not isinstance(value, QueryResult):
+                continue
+            payload = pickle.dumps((value.variables, value.relation))
+            header = json.loads(header)
+            header.update(
+                format=1,
+                len=len(payload),
+                sha256=hashlib.sha256(payload).hexdigest(),
+            )
+            path.write_bytes(
+                b"repro-warm\n" + json.dumps(header).encode() + b"\n" + payload
+            )
+            rewritten += 1
+        assert rewritten >= 1
+        METRICS.reset()
+
+        second, _ = run_once(tmp_path, engine="direct")
+        assert second.ok
+        assert second.rows == first.rows
+        assert METRICS.get("warmstart.load_rejected") == rewritten
+
     def test_wrong_key_digest_is_rejected(self, tmp_path):
         # A file renamed onto another key's path must not load: the
         # header pins the key the payload was spilled under.

@@ -35,6 +35,12 @@ pattern outside the paths allowed to use it:
   ``StreamReader`` / ``StreamWriter`` construction, event-loop
   ownership) outside ``service/`` and ``shard/``, where byte limits,
   quotas and disconnect cancellation live (docs/service.md).
+* ``results`` — ``RelationAutomaton.from_tuples(...)`` outside the
+  automaton layer (``automatic/``), ``eval/result.py`` (which builds a
+  row result's automaton on demand), the automata engine and the
+  database module: finite backend answers stay rows
+  (``QueryResult.from_rows``), and must not round-trip through a
+  convolution automaton just to be read back as tuples.
 
 Run via ``make lint-confinement`` (wired into ``make test``) or
 ``python tools/lint_confinement.py``; every rule is checked.  Exits
@@ -145,6 +151,20 @@ RULES = (
         advice="asyncio transport primitives (servers/streams/event loops) "
         "outside src/repro/service/ and src/repro/shard/ — route wire "
         "plumbing through the service front end",
+    ),
+    Rule(
+        name="results",
+        pattern=re.compile(r"(?<![A-Za-z0-9_])from_tuples\s*\("),
+        scan=("src/repro",),
+        allowed=(
+            "src/repro/automatic/",
+            "src/repro/eval/result.py",
+            "src/repro/eval/automata_engine.py",
+            "src/repro/database/instance.py",
+        ),
+        advice="RelationAutomaton.from_tuples outside the automaton layer — "
+        "return finite answers as rows with QueryResult.from_rows",
+        code_only=True,
     ),
 )
 
